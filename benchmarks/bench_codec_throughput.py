@@ -572,10 +572,9 @@ def run_benchmark(
 
     # Process-parallel decode engine: the same minibatch through a
     # DecodePool at several worker counts, against the in-process batch
-    # decoder.  Decode is >90% entropy-bound, so on a multi-core machine
-    # MB/s scales with workers until cores (or slab/queue overhead at these
-    # small batches) saturate; on a single-core machine the rows document
-    # the engine's overhead instead (see `workload.cpu_count`).
+    # decoder.  Decode is >90% entropy-bound, so MB/s scales with workers
+    # until cores (or slab/queue overhead at these small batches) saturate;
+    # every row records the cores present and each worker's BLAS threads.
     if parallel_workers:
         results["decode_parallel"] = _parallel_section(
             streams, stream_bytes, trials, parallel_workers, timings["fast_batch"]
@@ -631,6 +630,14 @@ def _obs_overhead_section(streams: list[bytes], stream_bytes: int, trials: int) 
     }
 
 
+def _pool_environment(pool) -> dict:
+    """What a pool row's speed depends on: cores present, BLAS per worker."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "worker_blas_threads": list(pool.stats.worker_blas_threads),
+    }
+
+
 def _parallel_section(
     streams: list[bytes],
     stream_bytes: int,
@@ -667,6 +674,7 @@ def _parallel_section(
                 "speedup_vs_inprocess_batch": round(inprocess_seconds / best, 2),
                 "byte_identical": True,
                 "fallback_batches": pool.stats.fallback_batches,
+                **_pool_environment(pool),
             }
     return section
 
@@ -773,9 +781,8 @@ def _ingest_section(
         },
         "workers": {},
     }
-    # EncodePool rows: identity-checked against the fused batch, then timed.
-    # On a single-core runner these document the engine's slab/queue/fork
-    # overhead rather than speedup (see `workload.cpu_count`).
+    # EncodePool rows: identity-checked against the fused batch, then timed;
+    # each row records the cores present and each worker's BLAS threads.
     for n_workers in pool_workers:
         with EncodePool(n_workers, warmup_quality=quality) as pool:
             out = pool.encode_batch(images, quality=quality)  # warm workers + slab
@@ -790,6 +797,7 @@ def _ingest_section(
                 "speedup_vs_inprocess_batch": round(timings["fused_batch"] / best, 2),
                 "identical": True,
                 "fallback_batches": pool.stats.fallback_batches,
+                **_pool_environment(pool),
             }
     return section
 

@@ -22,10 +22,13 @@ Architecture
 ------------
 
 * **Long-lived workers.**  ``n_workers`` processes are started once (fork
-  where available, spawn otherwise), pre-warm the Huffman-LUT / scaled-basis
-  caches by decoding a tiny self-encoded image, and then loop on a shared
-  task queue until the pool closes.  Worker startup cost is paid once per
-  pool, not per batch.
+  where available, spawn otherwise), pin BLAS to one thread, pre-warm the
+  Huffman-LUT / scaled-basis caches by decoding a tiny self-encoded image,
+  and then loop on a shared task queue until the pool closes.  Worker
+  startup cost is paid once per pool, not per batch.  One BLAS thread per
+  worker is the policy, not a knob: the fleet already runs one worker per
+  core, and a worker inheriting the default (one BLAS thread per CPU)
+  oversubscribes the cores.  The parent's BLAS is never touched.
 * **Chunked task queue (work stealing).**  A batch is split into several
   chunks per worker, balanced by compressed-stream bytes, and all chunks go
   onto one shared queue.  Workers pull the next chunk whenever they finish
@@ -72,6 +75,7 @@ import numpy as np
 from repro.codecs import config as codec_config
 from repro.codecs.markers import SUBSAMPLING_420, parse_frame_header
 from repro.codecs.image import ImageBuffer
+from repro.common import blas
 from repro.obs import metrics as obs_metrics
 
 __all__ = ["DecodePool", "DecodePoolStats", "EncodePool", "EncodePoolStats"]
@@ -162,95 +166,28 @@ def _prewarm(quality: int) -> None:
     decode_progressive_batch([payload])
 
 
-def _decode_worker_main(task_queue, result_queue, warmup_quality) -> None:
-    """Long-lived worker loop: pull a chunk, decode it, write into the slab.
-
-    Workers always decode with the fast path enabled — the pool's contract
-    is byte-identity with in-process *fast-path* decode — and ignore SIGINT
-    so a Ctrl-C in the parent tears the fleet down through the pool's
-    shutdown protocol (sentinels, then terminate) rather than corrupting a
-    queue mid-put.
-    """
+def _decode_chunk(shm, max_scans, jobs) -> None:
+    """Decode a chunk of streams straight into their slab regions."""
     from repro.codecs.progressive import decode_progressive_batch
-    from repro.obs import diff_snapshots, get_registry
 
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    codec_config.set_fastpath(True)
-    # The registry's fork hook already zeroed inherited totals (and a
-    # spawned worker starts fresh); reset again defensively so the first
-    # chunk's delta is exactly this worker's own work.
-    registry = get_registry()
-    registry.reset()
-    if warmup_quality is not None:
-        try:
-            _prewarm(warmup_quality)
-        except Exception:  # warmup is best-effort; first real batch warms too
-            pass
-    registry.reset()  # drop warmup decode counts from the first chunk delta
-    last_snapshot = registry.snapshot()
-    # Slab attachments are cached (slabs are pooled and recur), but bounded:
-    # the parent retires slabs over a long run and an unlinked segment's
-    # memory stays resident while any mapping exists, so an unbounded cache
-    # would grow worker RSS without limit.  Evicting a slab the parent still
-    # pools is safe — the next task naming it simply re-attaches.
-    max_attached = 8
-    attached: dict[str, shared_memory.SharedMemory] = {}
-    try:
-        while True:
-            task = task_queue.get()
-            if task is _SENTINEL:
-                break
-            batch_id, chunk_id, slab_name, max_scans, jobs = task
-            try:
-                chunk_started = time.perf_counter()
-                shm = attached.pop(slab_name, None)
-                if shm is None:
-                    shm = shared_memory.SharedMemory(name=slab_name)
-                attached[slab_name] = shm  # (re)insert as most recently used
-                while len(attached) > max_attached:
-                    oldest = next(iter(attached))
-                    try:
-                        attached.pop(oldest).close()
-                    except Exception:
-                        pass
-                images = decode_progressive_batch(
-                    [payload for payload, _, _, _ in jobs], max_scans=max_scans
-                )
-                for image, (_, offset, nbytes, shape) in zip(images, jobs):
-                    pixels = image.pixels
-                    if pixels.shape != tuple(shape) or pixels.nbytes != nbytes:
-                        raise ValueError(
-                            f"decoded frame is {pixels.shape}, slab region expects {shape}"
-                        )
-                    region = np.frombuffer(
-                        shm.buf, dtype=np.uint8, count=nbytes, offset=offset
-                    )
-                    region[:] = pixels.reshape(-1)
-                    del region
-                # Per-worker decode timing plus the registry delta since the
-                # previous chunk ride back in the result tuple; the parent
-                # merges the delta so fleet-wide metrics aggregate exactly
-                # as if the chunk had decoded in-process (fork-aware
-                # aggregation — see tests/test_obs.py parity test).
-                registry.histogram("decode.pool.chunk_seconds").observe(
-                    time.perf_counter() - chunk_started
-                )
-                registry.counter("decode.pool.chunks_total").inc()
-                snapshot = registry.snapshot()
-                delta = diff_snapshots(snapshot, last_snapshot)
-                last_snapshot = snapshot
-                result_queue.put((batch_id, chunk_id, None, delta))
-            except Exception:
-                last_snapshot = registry.snapshot()
-                result_queue.put((batch_id, chunk_id, traceback.format_exc(), None))
-    except (KeyboardInterrupt, EOFError, OSError):
-        pass  # parent is gone or tearing down; exit quietly
-    finally:
-        for shm in attached.values():
-            try:
-                shm.close()
-            except Exception:
-                pass
+    chunk_started = time.perf_counter()
+    images = decode_progressive_batch(
+        [payload for payload, _, _, _ in jobs], max_scans=max_scans
+    )
+    for image, (_, offset, nbytes, shape) in zip(images, jobs):
+        pixels = image.pixels
+        if pixels.shape != tuple(shape) or pixels.nbytes != nbytes:
+            raise ValueError(
+                f"decoded frame is {pixels.shape}, slab region expects {shape}"
+            )
+        region = np.frombuffer(shm.buf, dtype=np.uint8, count=nbytes, offset=offset)
+        region[:] = pixels.reshape(-1)
+        del region
+    registry = obs_metrics.get_registry()
+    registry.histogram("decode.pool.chunk_seconds").observe(
+        time.perf_counter() - chunk_started
+    )
+    registry.counter("decode.pool.chunks_total").inc()
 
 
 def _encode_prewarm(quality: int) -> None:
@@ -283,31 +220,66 @@ def _slab_image(shm, offset: int, nbytes: int, shape) -> ImageBuffer:
     return ImageBuffer.from_array(region)
 
 
-def _encode_worker_main(task_queue, result_queue, warmup_quality) -> None:
-    """Long-lived ingest worker: pull a chunk, read pixels from the slab,
-    encode, and send the streams back through the result queue.
+def _encode_chunk(shm, params, jobs) -> list[bytes]:
+    """Encode a chunk of images read from the slab; returns the streams.
 
-    The data flow is the mirror image of :func:`_decode_worker_main`: pixels
-    arrive through shared memory (zero pickling of the heavy direction) and
-    the compressed streams — typically 10-50x smaller — return through the
-    ordinary queue.  Workers pin the fast path on; the pool's contract is
-    identity with in-process *fast-path* encoding.
+    The mirror image of :func:`_decode_chunk`: pixels arrive through shared
+    memory (zero pickling of the heavy direction) and the compressed
+    streams — typically 10-50x smaller — return through the result queue.
     """
     from repro.codecs.progressive import encode_progressive_batch
-    from repro.obs import diff_snapshots, get_registry
 
+    quality, subsampling, layout = params
+    images = [_slab_image(shm, offset, nbytes, shape) for offset, nbytes, shape in jobs]
+    try:
+        return encode_progressive_batch(
+            images, quality=quality, subsampling=subsampling, layout=layout
+        )
+    finally:
+        # Drop the slab views before the result ships so slab eviction /
+        # worker exit can unmap the segment cleanly.
+        del images
+
+
+def _worker_main(
+    run_chunk, prewarm, slot, blas_threads, task_queue, result_queue, warmup_quality
+) -> None:
+    """Long-lived worker loop shared by both pools: pull a chunk, run it.
+
+    Bootstrap, once per process and before any BLAS call: ignore SIGINT (a
+    Ctrl-C in the parent tears the fleet down through the pool's shutdown
+    protocol — sentinels, then terminate — rather than corrupting a queue
+    mid-put), pin BLAS to one thread and report the count the library
+    settled on in ``blas_threads[slot]``, and pin the fast path on (the
+    pools' contract is identity with in-process *fast-path* coding).  One
+    worker per core, each with a single BLAS thread, keeps ``n_workers``
+    workers from running ``n_workers × cpu_count`` BLAS threads.  The
+    parent's own BLAS setting is never touched.
+
+    ``run_chunk(shm, params, jobs)`` does the pool-specific work; its
+    return value, this worker's ``slot`` and the registry delta since the
+    previous chunk ride back in the result tuple.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    blas_threads[slot] = blas.limit_threads(1)
     codec_config.set_fastpath(True)
-    registry = get_registry()
+    # The registry's fork hook already zeroed inherited totals (and a
+    # spawned worker starts fresh); reset again defensively so the first
+    # chunk's delta is exactly this worker's own work.
+    registry = obs_metrics.get_registry()
     registry.reset()
     if warmup_quality is not None:
         try:
-            _encode_prewarm(warmup_quality)
+            prewarm(warmup_quality)
         except Exception:  # warmup is best-effort; first real batch warms too
             pass
-    registry.reset()  # drop warmup encode counts from the first chunk delta
+    registry.reset()  # drop warmup counts from the first chunk delta
     last_snapshot = registry.snapshot()
-    # Bounded slab attach cache — same rationale as the decode worker.
+    # Slab attachments are cached (slabs are pooled and recur), but bounded:
+    # the parent retires slabs over a long run and an unlinked segment's
+    # memory stays resident while any mapping exists, so an unbounded cache
+    # would grow worker RSS without limit.  Evicting a slab the parent still
+    # pools is safe — the next task naming it simply re-attaches.
     max_attached = 8
     attached: dict[str, shared_memory.SharedMemory] = {}
     try:
@@ -317,7 +289,6 @@ def _encode_worker_main(task_queue, result_queue, warmup_quality) -> None:
                 break
             batch_id, chunk_id, slab_name, params, jobs = task
             try:
-                quality, subsampling, layout = params
                 shm = attached.pop(slab_name, None)
                 if shm is None:
                     shm = shared_memory.SharedMemory(name=slab_name)
@@ -328,29 +299,15 @@ def _encode_worker_main(task_queue, result_queue, warmup_quality) -> None:
                         attached.pop(oldest).close()
                     except Exception:
                         pass
-                images = [
-                    _slab_image(shm, offset, nbytes, shape)
-                    for offset, nbytes, shape in jobs
-                ]
-                try:
-                    streams = encode_progressive_batch(
-                        images,
-                        quality=quality,
-                        subsampling=subsampling,
-                        layout=layout,
-                    )
-                finally:
-                    # Drop the slab views before the result ships so slab
-                    # eviction / worker exit can unmap the segment cleanly.
-                    del images
+                output = run_chunk(shm, params, jobs)
                 snapshot = registry.snapshot()
-                delta = diff_snapshots(snapshot, last_snapshot)
+                delta = obs_metrics.diff_snapshots(snapshot, last_snapshot)
                 last_snapshot = snapshot
-                result_queue.put((batch_id, chunk_id, None, streams, delta))
+                result_queue.put((batch_id, chunk_id, slot, None, output, delta))
             except Exception:
                 last_snapshot = registry.snapshot()
                 result_queue.put(
-                    (batch_id, chunk_id, traceback.format_exc(), None, None)
+                    (batch_id, chunk_id, slot, traceback.format_exc(), None, None)
                 )
     except (KeyboardInterrupt, EOFError, OSError):
         pass  # parent is gone or tearing down; exit quietly
@@ -445,19 +402,21 @@ class _PoolState:
         warmup_quality: int | None,
         max_free_slabs: int,
         *,
-        worker_main=None,
-        worker_name: str = "pcr-decode",
-        stats=None,
+        run_chunk,
+        prewarm,
+        worker_name: str,
+        stats,
     ):
         self.ctx = ctx
         self.n_workers = n_workers
         self.warmup_quality = warmup_quality
         self.max_free_slabs = max_free_slabs
-        # The worker entry point and stats object are injected so DecodePool
-        # and EncodePool share one fleet/slab/fallback engine; any stats
-        # object with workers_started / fleet_restarts / slabs_created
-        # counters works.
-        self.worker_main = worker_main if worker_main is not None else _decode_worker_main
+        # The chunk function, its warmup and the stats object are injected
+        # so DecodePool and EncodePool share one fleet/slab/fallback engine;
+        # any stats object with workers_started / fleet_restarts /
+        # slabs_created counters works.
+        self.run_chunk = run_chunk
+        self.prewarm = prewarm
         self.worker_name = worker_name
         self.lock = threading.RLock()
         self.closed = False
@@ -468,7 +427,12 @@ class _PoolState:
         self.free_slabs: list[_Slab] = []
         self.batch_counter = 0
         self.slab_counter = 0
-        self.stats = stats if stats is not None else DecodePoolStats()
+        self.stats = stats
+        #: BLAS threads each worker slot reported after pinning; -1 until
+        #: the slot's current worker has booted.
+        self.blas_threads = ctx.RawArray("i", [-1] * n_workers)
+        #: Last gauge values each live worker slot reported.
+        self.worker_gauges: dict[int, dict] = {}
 
     # -- workers ----------------------------------------------------------
 
@@ -487,15 +451,33 @@ class _PoolState:
         if not self.respawn and self.workers:
             return
         while self.respawn and len(self.workers) < self.n_workers:
+            slot = len(self.workers)
+            self.blas_threads[slot] = -1
             worker = self.ctx.Process(
-                target=self.worker_main,
-                args=(self.tasks, self.results, self.warmup_quality),
+                target=_worker_main,
+                args=(
+                    self.run_chunk,
+                    self.prewarm,
+                    slot,
+                    self.blas_threads,
+                    self.tasks,
+                    self.results,
+                    self.warmup_quality,
+                ),
                 daemon=True,
-                name=f"{self.worker_name}-{len(self.workers)}",
+                name=f"{self.worker_name}-{slot}",
             )
             worker.start()
             self.workers.append(worker)
             self.stats.workers_started += 1
+
+    def worker_blas_threads(self) -> tuple[int, ...]:
+        """BLAS threads of every live worker that has booted, in slot order."""
+        return tuple(
+            self.blas_threads[slot]
+            for slot, worker in enumerate(self.workers)
+            if worker.is_alive() and self.blas_threads[slot] >= 0
+        )
 
     def restart_fleet(self) -> None:
         """Kill every worker and discard the queues (crash recovery).
@@ -514,6 +496,9 @@ class _PoolState:
                 worker.kill()
                 worker.join(timeout=1.0)
         self._discard_queues()
+        # The dead workers' levels (cached table bytes, ...) died with them.
+        gauges, self.worker_gauges = self.worker_gauges, {}
+        self._publish_gauges({name for levels in gauges.values() for name in levels})
         self.stats.fleet_restarts += 1
 
     def _discard_queues(self) -> None:
@@ -527,6 +512,82 @@ class _PoolState:
                 pass
         self.tasks = None
         self.results = None
+
+    # -- telemetry --------------------------------------------------------
+
+    def fold_delta(self, slot: int, delta: dict) -> None:
+        """Fold one chunk's worker registry delta into the parent registry.
+
+        Counters and histograms add, so fleet totals equal in-process
+        totals.  Gauges are levels, not totals: each worker's delta carries
+        its current values, so the pool keeps the last value per worker and
+        publishes the sum over live workers (adding every chunk's level
+        would grow a gauge without bound).
+        """
+        registry = obs_metrics.get_registry()
+        registry.merge({**delta, "gauges": {}})
+        gauges = delta.get("gauges", {})
+        if gauges:
+            self.worker_gauges[slot] = gauges
+            self._publish_gauges(gauges)
+
+    def _publish_gauges(self, names) -> None:
+        registry = obs_metrics.get_registry()
+        for name in names:
+            registry.gauge(name).set(
+                sum(levels.get(name, 0) for levels in self.worker_gauges.values())
+            )
+
+    # -- batches ----------------------------------------------------------
+
+    def run_chunks(
+        self, slab: _Slab, params, chunk_jobs: list[list], stall_timeout: float
+    ) -> tuple[dict, set[int], bool]:
+        """Queue one batch's chunks and collect the workers' results.
+
+        Returns ``(outputs, pending, failed)``: each finished chunk's output
+        by chunk id, the chunk ids that never finished, and whether the
+        batch failed — a worker died, reported an error (its traceback
+        lands in ``stats.last_worker_error``), or no chunk finished for
+        ``stall_timeout`` seconds.  The caller finishes ``pending`` chunks
+        in-process after a failure.
+        """
+        self.batch_counter += 1
+        batch_id = self.batch_counter
+        for chunk_id, jobs in enumerate(chunk_jobs):
+            self.tasks.put((batch_id, chunk_id, slab.shm.name, params, jobs))
+        pending = set(range(len(chunk_jobs)))
+        outputs: dict = {}
+        failed = not self.workers
+        last_progress = time.monotonic()
+        while pending and not failed:
+            try:
+                done_batch, done_chunk, slot, error, output, delta = self.results.get(
+                    timeout=_POLL_SECONDS
+                )
+            except Empty:
+                # Dead workers are detected directly; a worker that is alive
+                # but wedged (e.g. a respawned fork that inherited a lock
+                # held at fork time) trips the stall timeout, so a batch can
+                # degrade but never hang.
+                if any(not worker.is_alive() for worker in self.workers):
+                    failed = True
+                elif time.monotonic() - last_progress > stall_timeout:
+                    self.stats.last_worker_error = "batch stalled"
+                    failed = True
+                continue
+            if done_batch != batch_id:
+                continue  # stale result from an aborted batch
+            if error is not None:
+                self.stats.last_worker_error = error
+                failed = True
+                break
+            outputs[done_chunk] = output
+            pending.discard(done_chunk)
+            last_progress = time.monotonic()
+            if delta:
+                self.fold_delta(slot, delta)
+        return outputs, pending, failed
 
     # -- slabs ------------------------------------------------------------
 
@@ -588,6 +649,108 @@ class _PoolState:
 # --------------------------------------------------------------------------
 
 
+class _Pool:
+    """Lifecycle shared by :class:`DecodePool` and :class:`EncodePool`.
+
+    A subclass names its worker body (``_run_chunk``, ``_prewarm``), its
+    process name and its stats type; construction, stats, close and the
+    context-manager protocol are the same for both pools.
+    """
+
+    _run_chunk = None
+    _prewarm = None
+    _worker_name = ""
+    _stats_type = None
+
+    def __init__(
+        self,
+        n_workers: int,
+        *,
+        start_method: str | None = None,
+        warmup_quality: int | None = 90,
+        chunks_per_worker: int = CHUNKS_PER_WORKER,
+        max_free_slabs: int = 4,
+        stall_timeout: float = 30.0,
+    ) -> None:
+        self.n_workers = int(n_workers)
+        self.chunks_per_worker = max(1, int(chunks_per_worker))
+        #: Seconds without any chunk completing (workers alive) before a
+        #: batch is declared stalled and finished in-process.  At fast-path
+        #: rates the default corresponds to tens of MB of data per chunk —
+        #: far beyond any realistic record.
+        self.stall_timeout = float(stall_timeout)
+        self._closed_inprocess = False
+        self._inprocess_lock = threading.Lock()
+        if self.n_workers <= 1:
+            self._state: _PoolState | None = None
+            self._stats = self._stats_type()
+            self._finalizer = None
+            return
+        ctx = multiprocessing.get_context(start_method or _default_start_method())
+        # Start the shared-memory resource tracker *before* forking workers:
+        # children then inherit the parent's tracker instead of each lazily
+        # spawning their own (a per-worker tracker would try to "clean up"
+        # the parent's live slabs when its worker exits).  Registrations are
+        # set-deduplicated in the tracker, so worker-side attach registers
+        # collapse into the parent's single register/unlink pair.
+        try:
+            from multiprocessing import resource_tracker
+
+            resource_tracker.ensure_running()
+        except Exception:
+            pass
+        state = _PoolState(
+            ctx,
+            self.n_workers,
+            warmup_quality,
+            max_free_slabs,
+            run_chunk=type(self)._run_chunk,
+            prewarm=type(self)._prewarm,
+            worker_name=self._worker_name,
+            stats=self._stats_type(),
+        )
+        self._state = state
+        self._stats = state.stats
+        with state.lock:
+            state.ensure_workers()
+        self._finalizer = weakref.finalize(self, _PoolState.shutdown, state)
+
+    # -- introspection ----------------------------------------------------
+
+    @property
+    def stats(self) -> "DecodePoolStats | EncodePoolStats":
+        if self._state is not None:
+            self._stats.worker_blas_threads = self._state.worker_blas_threads()
+        return self._stats
+
+    @property
+    def closed(self) -> bool:
+        if self._state is not None:
+            return self._state.closed
+        return self._closed_inprocess
+
+    # -- lifecycle --------------------------------------------------------
+
+    def close(self, timeout: float = 5.0) -> None:
+        """Stop the workers and release every pooled shared-memory slab.
+
+        Slabs still referenced by outstanding frame views are unlinked as
+        soon as their last view is garbage collected.  Coding through a
+        closed pool transparently runs in-process.
+        """
+        self._closed_inprocess = True
+        if self._state is not None:
+            self._state.shutdown(timeout=timeout)
+        if self._finalizer is not None:
+            self._finalizer.detach()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
 @dataclass
 class DecodePoolStats:
     """Counters a pool accumulates over its lifetime."""
@@ -600,10 +763,13 @@ class DecodePoolStats:
     fleet_restarts: int = 0
     workers_started: int = 0
     slabs_created: int = 0
+    #: BLAS threads each live, booted worker runs (1 where BLAS is settable,
+    #: 0 where no settable BLAS was found); empty without workers.
+    worker_blas_threads: tuple[int, ...] = ()
     last_worker_error: str = field(default="", repr=False)
 
 
-class DecodePool:
+class DecodePool(_Pool):
     """A persistent process pool that decodes minibatches of PCR streams.
 
     ``decode_batch`` is a drop-in replacement for
@@ -612,7 +778,8 @@ class DecodePool:
     :class:`~repro.codecs.image.ImageBuffer`, byte-identical to in-process
     fast-path decoding — except the entropy loops of the batch run on
     ``n_workers`` cores concurrently and the pixels come back through
-    shared memory.
+    shared memory.  Each worker runs BLAS on one thread; the caller's own
+    BLAS setting is left alone.
 
     With ``n_workers <= 1`` the pool is a thin wrapper over the in-process
     batch decoder (no processes, no shared memory), so callers can wire a
@@ -633,61 +800,10 @@ class DecodePool:
     threaded embedders (slower startup, same results).
     """
 
-    def __init__(
-        self,
-        n_workers: int,
-        *,
-        start_method: str | None = None,
-        warmup_quality: int | None = 90,
-        chunks_per_worker: int = CHUNKS_PER_WORKER,
-        max_free_slabs: int = 4,
-        stall_timeout: float = 30.0,
-    ) -> None:
-        self.n_workers = int(n_workers)
-        self.chunks_per_worker = max(1, int(chunks_per_worker))
-        #: Seconds without any chunk completing (workers alive) before a
-        #: batch is declared stalled and finished in-process.  At fast-path
-        #: decode rates the default corresponds to tens of MB of compressed
-        #: data per chunk — far beyond any realistic record.
-        self.stall_timeout = float(stall_timeout)
-        self._closed_inprocess = False
-        self._inprocess_lock = threading.Lock()
-        if self.n_workers <= 1:
-            self._state: _PoolState | None = None
-            self._stats = DecodePoolStats()
-            self._finalizer = None
-            return
-        ctx = multiprocessing.get_context(start_method or _default_start_method())
-        # Start the shared-memory resource tracker *before* forking workers:
-        # children then inherit the parent's tracker instead of each lazily
-        # spawning their own (a per-worker tracker would try to "clean up"
-        # the parent's live slabs when its worker exits).  Registrations are
-        # set-deduplicated in the tracker, so worker-side attach registers
-        # collapse into the parent's single register/unlink pair.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:
-            pass
-        state = _PoolState(ctx, self.n_workers, warmup_quality, max_free_slabs)
-        self._state = state
-        self._stats = state.stats
-        with state.lock:
-            state.ensure_workers()
-        self._finalizer = weakref.finalize(self, _PoolState.shutdown, state)
-
-    # -- introspection ----------------------------------------------------
-
-    @property
-    def stats(self) -> DecodePoolStats:
-        return self._stats
-
-    @property
-    def closed(self) -> bool:
-        if self._state is not None:
-            return self._state.closed
-        return self._closed_inprocess
+    _run_chunk = staticmethod(_decode_chunk)
+    _prewarm = staticmethod(_prewarm)
+    _worker_name = "pcr-decode"
+    _stats_type = DecodePoolStats
 
     # -- decoding ---------------------------------------------------------
 
@@ -745,45 +861,15 @@ class DecodePool:
             chunks = _chunk_by_bytes(
                 [len(p) for p in payloads], state.n_workers * self.chunks_per_worker
             )
-            state.batch_counter += 1
-            batch_id = state.batch_counter
-            for chunk_id, indices in enumerate(chunks):
-                jobs = [
-                    (payloads[i], offsets[i], sizes[i], shapes[i]) for i in indices
-                ]
-                state.tasks.put((batch_id, chunk_id, slab.shm.name, max_scans, jobs))
-            pending = set(range(len(chunks)))
-            failed = not state.workers
-            last_progress = time.monotonic()
-            while pending and not failed:
-                try:
-                    done_batch, done_chunk, error, delta = state.results.get(
-                        timeout=_POLL_SECONDS
-                    )
-                except Empty:
-                    # Dead workers are detected directly; a worker that is
-                    # alive but wedged (e.g. a respawned fork that inherited
-                    # a lock held at fork time) trips the stall timeout, so
-                    # a batch can degrade but never hang.
-                    if any(not worker.is_alive() for worker in state.workers):
-                        failed = True
-                    elif time.monotonic() - last_progress > self.stall_timeout:
-                        state.stats.last_worker_error = "batch stalled"
-                        failed = True
-                    continue
-                if done_batch != batch_id:
-                    continue  # stale result from an aborted batch
-                if error is not None:
-                    state.stats.last_worker_error = error
-                    failed = True
-                    break
-                pending.discard(done_chunk)
-                last_progress = time.monotonic()
-                if delta:
-                    # Fold the worker's per-chunk registry delta into the
-                    # parent: fleet metrics equal in-process metrics.
-                    obs_metrics.get_registry().merge(delta)
-
+            _, pending, failed = state.run_chunks(
+                slab,
+                max_scans,
+                [
+                    [(payloads[i], offsets[i], sizes[i], shapes[i]) for i in indices]
+                    for indices in chunks
+                ],
+                self.stall_timeout,
+            )
             images: list = [None] * len(payloads)
             if failed:
                 # Tear the fleet down to a clean slate (a killed worker can
@@ -830,27 +916,6 @@ class DecodePool:
             if not views_created:
                 _release_slab(state, slab)
 
-    # -- lifecycle --------------------------------------------------------
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop the workers and release every pooled shared-memory slab.
-
-        Slabs still referenced by outstanding frame views are unlinked as
-        soon as their last view is garbage collected.  Decoding through a
-        closed pool transparently runs in-process.
-        """
-        self._closed_inprocess = True
-        if self._state is not None:
-            self._state.shutdown(timeout=timeout)
-        if self._finalizer is not None:
-            self._finalizer.detach()
-
-    def __enter__(self) -> "DecodePool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
 
 @dataclass
 class EncodePoolStats:
@@ -865,10 +930,12 @@ class EncodePoolStats:
     fleet_restarts: int = 0
     workers_started: int = 0
     slabs_created: int = 0
+    #: BLAS threads each live, booted worker runs (see DecodePoolStats).
+    worker_blas_threads: tuple[int, ...] = ()
     last_worker_error: str = field(default="", repr=False)
 
 
-class EncodePool:
+class EncodePool(_Pool):
     """A persistent process pool that encodes minibatches of images.
 
     ``encode_batch`` is a drop-in replacement for
@@ -885,68 +952,17 @@ class EncodePool:
     batch encoder (no processes, no shared memory), so conversion code can
     wire a pool unconditionally and control parallelism with one integer.
 
-    Fleet lifecycle, chunked work stealing, slab pooling, crash fallback,
-    and the stall watchdog are shared with :class:`DecodePool` (see the
-    module docstring); after any worker failure the unfinished remainder of
-    the batch is encoded in-process and the caller sees identical streams
-    either way.
+    Fleet lifecycle, the one-BLAS-thread worker bootstrap, chunked work
+    stealing, slab pooling, crash fallback, and the stall watchdog are
+    shared with :class:`DecodePool` (see the module docstring); after any
+    worker failure the unfinished remainder of the batch is encoded
+    in-process and the caller sees identical streams either way.
     """
 
-    def __init__(
-        self,
-        n_workers: int,
-        *,
-        start_method: str | None = None,
-        warmup_quality: int | None = 90,
-        chunks_per_worker: int = CHUNKS_PER_WORKER,
-        max_free_slabs: int = 4,
-        stall_timeout: float = 30.0,
-    ) -> None:
-        self.n_workers = int(n_workers)
-        self.chunks_per_worker = max(1, int(chunks_per_worker))
-        #: Seconds without any chunk completing (workers alive) before a
-        #: batch is declared stalled and finished in-process.
-        self.stall_timeout = float(stall_timeout)
-        self._closed_inprocess = False
-        self._inprocess_lock = threading.Lock()
-        if self.n_workers <= 1:
-            self._state: _PoolState | None = None
-            self._stats = EncodePoolStats()
-            self._finalizer = None
-            return
-        ctx = multiprocessing.get_context(start_method or _default_start_method())
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:
-            pass
-        state = _PoolState(
-            ctx,
-            self.n_workers,
-            warmup_quality,
-            max_free_slabs,
-            worker_main=_encode_worker_main,
-            worker_name="pcr-encode",
-            stats=EncodePoolStats(),
-        )
-        self._state = state
-        self._stats = state.stats
-        with state.lock:
-            state.ensure_workers()
-        self._finalizer = weakref.finalize(self, _PoolState.shutdown, state)
-
-    # -- introspection ----------------------------------------------------
-
-    @property
-    def stats(self) -> EncodePoolStats:
-        return self._stats
-
-    @property
-    def closed(self) -> bool:
-        if self._state is not None:
-            return self._state.closed
-        return self._closed_inprocess
+    _run_chunk = staticmethod(_encode_chunk)
+    _prewarm = staticmethod(_encode_prewarm)
+    _worker_name = "pcr-encode"
+    _stats_type = EncodePoolStats
 
     # -- encoding ---------------------------------------------------------
 
@@ -1021,42 +1037,12 @@ class EncodePool:
             # Balance chunks by *pixel* bytes: encode cost scales with the
             # uncompressed size, unlike decode (compressed bytes).
             chunks = _chunk_by_bytes(sizes, state.n_workers * self.chunks_per_worker)
-            state.batch_counter += 1
-            batch_id = state.batch_counter
-            params = (quality, subsampling, layout)
-            for chunk_id, indices in enumerate(chunks):
-                jobs = [(offsets[i], sizes[i], shapes[i]) for i in indices]
-                state.tasks.put((batch_id, chunk_id, slab.shm.name, params, jobs))
-            pending = set(range(len(chunks)))
-            chunk_streams: dict[int, list[bytes]] = {}
-            failed = not state.workers
-            last_progress = time.monotonic()
-            while pending and not failed:
-                try:
-                    done_batch, done_chunk, error, streams, delta = state.results.get(
-                        timeout=_POLL_SECONDS
-                    )
-                except Empty:
-                    if any(not worker.is_alive() for worker in state.workers):
-                        failed = True
-                    elif time.monotonic() - last_progress > self.stall_timeout:
-                        state.stats.last_worker_error = "batch stalled"
-                        failed = True
-                    continue
-                if done_batch != batch_id:
-                    continue  # stale result from an aborted batch
-                if error is not None:
-                    state.stats.last_worker_error = error
-                    failed = True
-                    break
-                chunk_streams[done_chunk] = streams
-                pending.discard(done_chunk)
-                last_progress = time.monotonic()
-                if delta:
-                    # Fold the worker's per-chunk registry delta into the
-                    # parent: fleet ingest metrics equal in-process metrics.
-                    obs_metrics.get_registry().merge(delta)
-
+            chunk_streams, pending, failed = state.run_chunks(
+                slab,
+                (quality, subsampling, layout),
+                [[(offsets[i], sizes[i], shapes[i]) for i in indices] for indices in chunks],
+                self.stall_timeout,
+            )
             results: list = [None] * len(images)
             for chunk_id, streams in chunk_streams.items():
                 for index, stream in zip(chunks[chunk_id], streams):
@@ -1091,22 +1077,3 @@ class EncodePool:
             # Outputs are plain bytes — nothing views the slab after the
             # batch, so it returns to the pool immediately (no leases).
             _release_slab(state, slab)
-
-    # -- lifecycle --------------------------------------------------------
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop the workers and release every pooled shared-memory slab.
-
-        Encoding through a closed pool transparently runs in-process.
-        """
-        self._closed_inprocess = True
-        if self._state is not None:
-            self._state.shutdown(timeout=timeout)
-        if self._finalizer is not None:
-            self._finalizer.detach()
-
-    def __enter__(self) -> "EncodePool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

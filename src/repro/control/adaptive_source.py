@@ -52,8 +52,11 @@ class AdaptiveScanGroupSource:
         report_interval: float = DEFAULT_REPORT_INTERVAL_SECONDS,
         throttle=None,
         auto_apply: bool = True,
+        clock=time.monotonic,
     ) -> None:
         self.source = source
+        #: Time base of the reporting windows (``window_seconds``).
+        self._clock = clock
         self.client_id = (
             client_id if client_id is not None else f"loader-{uuid.uuid4().hex[:8]}"
         )
@@ -69,7 +72,7 @@ class AdaptiveScanGroupSource:
         self._report_lock = threading.Lock()
         self._throttle_lock = threading.Lock()
         self._throttle_charged = 0
-        self._window_started = time.monotonic()
+        self._window_started = self._clock()
         self._window_base = self._usage_totals()
         self._bytes_per_sample: dict[int, float] | None = None
 
@@ -163,7 +166,7 @@ class AdaptiveScanGroupSource:
         self._maybe_report()
 
     def _maybe_report(self) -> None:
-        now = time.monotonic()
+        now = self._clock()
         if now - self._window_started < self.report_interval:
             return
         # One reporter at a time; concurrent workers skip instead of queueing
@@ -171,7 +174,7 @@ class AdaptiveScanGroupSource:
         if not self._report_lock.acquire(blocking=False):
             return
         try:
-            now = time.monotonic()
+            now = self._clock()
             window = now - self._window_started
             if window < self.report_interval:
                 return
@@ -205,7 +208,7 @@ class AdaptiveScanGroupSource:
         if telemetry is None:
             base = self._window_base
             current = self._usage_totals()
-            now = time.monotonic()
+            now = self._clock()
             window = max(now - self._window_started, 1e-9)
             self._window_started = now
             self._window_base = current

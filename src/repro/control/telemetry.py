@@ -42,8 +42,9 @@ class ClientTelemetry:
     #: Mean compressed bytes one sample costs at each scan group, measured
     #: from a record index — what the bandwidth-budget policy projects with.
     bytes_per_sample_by_group: dict[int, float] = field(default_factory=dict)
-    #: Server-side receive time (``time.monotonic`` of the *server* process),
-    #: stamped by :meth:`TelemetryStore.update`, not the client.
+    #: Server-side receive time on the store's clock (``time.monotonic`` of
+    #: the *server* process by default), stamped by
+    #: :meth:`TelemetryStore.update`, not the client.
     received_at: float = 0.0
 
     @property
@@ -130,8 +131,13 @@ class TelemetryStore:
     beyond the parsed report itself.
     """
 
-    def __init__(self, max_report_age: float = DEFAULT_MAX_REPORT_AGE_SECONDS) -> None:
+    def __init__(
+        self,
+        max_report_age: float = DEFAULT_MAX_REPORT_AGE_SECONDS,
+        clock=time.monotonic,
+    ) -> None:
         self.max_report_age = max_report_age
+        self._clock = clock
         self._lock = threading.Lock()
         self._reports: dict[str, ClientTelemetry] = {}
         self._hints: dict[str, ScanGroupHint] = {}
@@ -141,7 +147,7 @@ class TelemetryStore:
     def update(self, telemetry: ClientTelemetry) -> ScanGroupHint | None:
         """Store one report; returns the hint currently standing for the client."""
         stamped = ClientTelemetry(
-            **{**telemetry.__dict__, "received_at": time.monotonic()}
+            **{**telemetry.__dict__, "received_at": self._clock()}
         )
         with self._lock:
             self._reports[telemetry.client_id] = stamped
@@ -153,7 +159,7 @@ class TelemetryStore:
 
     def latest(self) -> dict[str, ClientTelemetry]:
         """Fresh reports per client (stale clients pruned, copies returned)."""
-        horizon = time.monotonic() - self.max_report_age
+        horizon = self._clock() - self.max_report_age
         with self._lock:
             stale = [
                 client_id

@@ -38,7 +38,12 @@ class StallTracker:
         wait_seconds: list[float] | None = None,
         compute_seconds: list[float] | None = None,
         registry: MetricsRegistry | None = None,
+        clock=time.perf_counter,
     ) -> None:
+        #: The time base the recorded intervals are measured on:
+        #: ``DataLoader`` times its waits and compute gaps with it, so a
+        #: virtual clock puts the whole stall split on virtual time.
+        self.clock = clock
         self.wait_seconds: list[float] = list(wait_seconds or [])
         self.compute_seconds: list[float] = list(compute_seconds or [])
         registry = registry if registry is not None else get_registry()
@@ -100,9 +105,17 @@ class BandwidthThrottle:
     ``set_rate`` retargets (or, with ``None``, lifts) the cap mid-run: the
     lever the end-to-end control tests flip to make a steered fleet
     converge back up.
+
+    ``clock`` and ``sleep`` default to wall time; a virtual clock whose
+    ``sleep`` advances it turns the throttle into a deterministic link
+    model (the closed-loop control tests run on one).
     """
 
-    def __init__(self, bytes_per_s: float | None) -> None:
+    def __init__(
+        self, bytes_per_s: float | None, clock=time.monotonic, sleep=time.sleep
+    ) -> None:
+        self._clock = clock
+        self._sleep = sleep
         self._lock = threading.Lock()
         self._rate = self._validated(bytes_per_s)
         self._ready_at = 0.0
@@ -132,7 +145,7 @@ class BandwidthThrottle:
         """Account ``n_bytes`` against the link; returns the seconds slept."""
         if n_bytes <= 0:
             return 0.0
-        now = time.monotonic()
+        now = self._clock()
         with self._lock:
             self.bytes_charged += n_bytes
             rate = self._rate
@@ -142,7 +155,7 @@ class BandwidthThrottle:
             self._ready_at = start + n_bytes / rate
             delay = self._ready_at - now
         if delay > 0:
-            time.sleep(delay)
+            self._sleep(delay)
             with self._lock:
                 self.seconds_slept += delay
             return delay

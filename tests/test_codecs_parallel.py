@@ -3,8 +3,9 @@
 The contract under test: :class:`repro.codecs.parallel.DecodePool` output is
 *byte-identical* to in-process fast-path decoding — across scan groups,
 colour modes, odd dimensions, worker counts, and every failure path (worker
-kill mid-batch, dead fleet, closed pool) — and a pool never leaks worker
-processes or shared-memory segments.
+kill mid-batch, dead fleet, closed pool) — a pool never leaks worker
+processes or shared-memory segments, and every worker runs BLAS on one
+thread while the parent keeps its own setting.
 """
 
 from __future__ import annotations
@@ -20,14 +21,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.codecs import config as codec_config
 from repro.codecs.markers import EOI, CodecFormatError, find_scan_segments, write_scan_segment
-from repro.codecs.parallel import DecodePool, _chunk_by_bytes
+from repro.codecs.parallel import DecodePool, EncodePool, _chunk_by_bytes
 from repro.codecs.progressive import (
     ProgressiveCodec,
     assemble_partial_stream,
     decode_progressive_batch,
+    encode_progressive_batch,
     split_scans,
 )
+from repro.common import blas
 from tests.conftest import make_structured_image
 
 N_GROUPS = 10
@@ -261,6 +265,52 @@ class TestFailurePaths:
             _assert_identical(expected, pool.decode_batch(streams))  # fallback
             pool.close()
             _assert_identical(expected, pool.decode_batch(streams))  # closed
+
+
+# -- BLAS threads -----------------------------------------------------------
+
+
+def _booted_blas_threads(pool, deadline_seconds: float = 60.0) -> tuple[int, ...]:
+    """The pool's per-worker BLAS threads, once every worker has booted."""
+    deadline = time.monotonic() + deadline_seconds
+    while len(pool.stats.worker_blas_threads) < pool.n_workers:
+        assert time.monotonic() < deadline, "workers never reported their BLAS threads"
+        time.sleep(0.01)
+    return pool.stats.worker_blas_threads
+
+
+class TestBlasThreads:
+    """Every pool worker pins BLAS to one thread; the parent keeps its own."""
+
+    @pytest.fixture(autouse=True)
+    def _settable_blas(self):
+        if blas.thread_count() == 0:
+            pytest.skip("no BLAS library with a settable thread count is loaded")
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_decode_workers_run_one_thread(self, streams, start_method):
+        parent_threads = blas.thread_count()
+        with DecodePool(2, start_method=start_method) as pool:
+            assert _booted_blas_threads(pool) == (1, 1)
+            assert blas.thread_count() == parent_threads
+            _assert_identical(decode_progressive_batch(streams), pool.decode_batch(streams))
+        assert blas.thread_count() == parent_threads
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_encode_workers_run_one_thread(self, start_method):
+        images = [make_structured_image(40, seed=s, color=s % 2 == 0) for s in range(4)]
+        with codec_config.use_fastpath(True):
+            expected = encode_progressive_batch(images)
+        parent_threads = blas.thread_count()
+        with EncodePool(2, start_method=start_method) as pool:
+            assert _booted_blas_threads(pool) == (1, 1)
+            assert blas.thread_count() == parent_threads
+            assert pool.encode_batch(images) == expected
+        assert blas.thread_count() == parent_threads
+
+    def test_in_process_pool_reports_no_workers(self):
+        with DecodePool(1) as pool:
+            assert pool.stats.worker_blas_threads == ()
 
 
 # -- lifecycle / leak hygiene ----------------------------------------------

@@ -3,9 +3,10 @@
 Covers the pure policy dynamics (AIMD bounds, cooldown, hysteresis under
 noise), the telemetry store and wire op, the cache's group-level counters
 and admission bias, the controller's step mechanics against a fake plane,
-the cluster plane, and — the acceptance scenario — a real bandwidth-capped
-loader that converges down to a smaller scan group and back up when the
-cap lifts, with a bounded number of direction changes.
+the cluster plane, and — the acceptance scenario — a bandwidth-capped
+client of a real server, run on virtual time, that converges down to a
+smaller scan group and back up when the cap lifts, with a bounded number
+of direction changes.
 """
 
 from __future__ import annotations
@@ -26,12 +27,26 @@ from repro.control import (
     TelemetryStore,
 )
 from repro.obs import MetricsRegistry, get_registry
-from repro.pipeline import BandwidthThrottle, DataLoader, LoaderConfig
+from repro.pipeline import BandwidthThrottle
+from repro.pipeline.stall import StallTracker
 from repro.serving.client import PCRClient
 from repro.serving.cluster.client import ClusterClient
 from repro.serving.cluster.coordinator import ClusterCoordinator
 from repro.serving.remote_source import RemoteRecordSource
 from repro.serving.server import PCRRecordServer, ScanPrefixCache
+
+
+class VirtualClock:
+    """Virtual time: reading returns the current instant, sleeping advances it."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.now += max(0.0, seconds)
 
 
 def _telemetry(
@@ -107,10 +122,11 @@ class TestTelemetry:
         assert len(store) == 1
 
     def test_store_prunes_stale_clients(self):
-        store = TelemetryStore(max_report_age=0.05)
+        clock = VirtualClock()
+        store = TelemetryStore(max_report_age=0.05, clock=clock)
         store.update(_telemetry(5, 0.1, client_id="old"))
         store.set_hint("old", ScanGroupHint(scan_group=1))
-        time.sleep(0.08)
+        clock.sleep(0.08)
         store.update(_telemetry(5, 0.1, client_id="fresh"))
         latest = store.latest()
         assert set(latest) == {"fresh"}
@@ -575,8 +591,6 @@ class TestAdaptiveSource:
             with AdaptiveScanGroupSource(
                 RemoteRecordSource(port=server.port), client_id="c0"
             ) as source:
-                from repro.pipeline.stall import StallTracker
-
                 stalls = StallTracker(registry=MetricsRegistry())
                 source.bind_stall_tracker(stalls)
                 source.read_record(source.record_names[0])
@@ -637,32 +651,48 @@ class TestAdaptiveSource:
 
 
 class TestClosedLoopEndToEnd:
-    """The acceptance scenario: cap the link, converge down; lift, converge up."""
+    """The acceptance scenario: cap the link, converge down; lift, converge up.
 
-    def _run_interval(self, loader, source, controller, compute_seconds=0.05):
-        for _ in loader.epoch():
-            time.sleep(compute_seconds)
+    The loop runs on virtual time, so its trajectory is the same on every
+    run and every host: the throttle is the link model (charging a fetch's
+    bytes advances the clock by their transfer time), and each fetched
+    record is followed by ``compute_seconds`` of modelled training.  Real
+    fetch and decode cost no virtual time.
+    """
+
+    def _run_interval(self, source, clock, controller, compute_seconds=0.05):
+        stalls = source.stalls  # timed on its clock, as DataLoader does
+        for record_name in source.record_names:  # one 8-sample batch per record
+            fetch_started = stalls.clock()
+            source.read_record(record_name)
+            stalls.record_wait(stalls.clock() - fetch_started)
+            clock.sleep(compute_seconds)
+            stalls.record_compute(compute_seconds)
         source.report_now()
         controller.step()
         source.report_now()  # pick up the hint the step just published
 
     def test_capped_link_converges_down_then_back_up(self, pcr_dataset):
+        clock = VirtualClock()
         with PCRRecordServer(pcr_dataset.reader.directory, port=0) as server:
+            server.telemetry = TelemetryStore(clock=clock)
             controller = server.start_controller(
                 policy=StallTargetPolicy(
                     target_stall_fraction=0.2, hysteresis=0.5, cooldown_intervals=0
                 ),
                 auto_start=False,
             )
-            throttle = BandwidthThrottle(40_000)  # a heavily capped link
+            # A heavily capped link.
+            throttle = BandwidthThrottle(40_000, clock=clock, sleep=clock.sleep)
             with AdaptiveScanGroupSource(
                 RemoteRecordSource(port=server.port),
                 client_id="trainer",
                 report_interval=3600.0,  # reporting is explicit, per interval
                 throttle=throttle,
+                clock=clock,
             ) as source:
-                loader = DataLoader(
-                    source, LoaderConfig(batch_size=8, n_workers=1, shuffle=False)
+                source.bind_stall_tracker(
+                    StallTracker(registry=MetricsRegistry(), clock=clock)
                 )
                 n_groups = source.n_groups
                 assert source.scan_group == n_groups
@@ -671,7 +701,7 @@ class TestClosedLoopEndToEnd:
                 # control intervals: multiplicative decrease halves the group
                 # every interval, so ceil(log2(n_groups)) + seeding suffices.
                 for _ in range(6):
-                    self._run_interval(loader, source, controller)
+                    self._run_interval(source, clock, controller)
                     trajectory.append(source.scan_group)
                 converged_down = source.scan_group
                 assert converged_down < n_groups
@@ -682,7 +712,7 @@ class TestClosedLoopEndToEnd:
                 # fidelity without oscillating.
                 throttle.set_rate(None)
                 for _ in range(n_groups + 4):
-                    self._run_interval(loader, source, controller)
+                    self._run_interval(source, clock, controller)
                     trajectory.append(source.scan_group)
                     if source.scan_group == n_groups:
                         break

@@ -356,6 +356,37 @@ class TestForkAwareAggregation:
         assert in_process["counters"]["decode.streams_total"] > 0
 
 
+class TestPoolGauges:
+    def test_worker_gauges_publish_live_levels_not_running_sums(self, monkeypatch):
+        """A worker's gauges are levels: the parent shows their sum over live
+        workers, however many chunks each worker has reported.
+
+        Every chunk delta carries the worker's current table-cache bytes;
+        adding each one would grow the parent's gauge by a cache's worth
+        per chunk.  The budget is shrunk (forked workers inherit it) so the
+        caches fill and hover at it.
+        """
+        from repro.codecs import huffman
+        from repro.codecs.parallel import DecodePool
+        from repro.codecs.progressive import ProgressiveCodec
+        from tests.conftest import make_structured_image
+
+        budget = 1 << 20
+        monkeypatch.setattr(huffman._TABLE_CACHE, "max_bytes", budget)
+        codec = ProgressiveCodec(quality=90)
+        streams = [
+            codec.encode(make_structured_image(48, seed=seed, color=True))
+            for seed in range(16)
+        ]
+        gauge = get_registry().gauge("codec.table_cache.luts.bytes")
+        with DecodePool(2, start_method="fork", chunks_per_worker=8) as pool:
+            for _ in range(20):
+                pool.decode_batch(streams)
+            assert pool.stats.parallel_batches == 20
+            assert pool.stats.fallback_batches == 0
+            assert 0 < gauge.value <= pool.n_workers * budget
+
+
 @pytest.fixture()
 def obs_server(pcr_dataset):
     with PCRRecordServer(pcr_dataset.reader.directory, port=0) as running:
