@@ -257,8 +257,8 @@ def _worker_main(
     parent's own BLAS setting is never touched.
 
     ``run_chunk(shm, params, jobs)`` does the pool-specific work; its
-    return value, this worker's ``slot`` and the registry delta since the
-    previous chunk ride back in the result tuple.
+    return value and the registry delta since the previous chunk ride back
+    in the result tuple.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     blas_threads[slot] = blas.limit_threads(1)
@@ -302,13 +302,19 @@ def _worker_main(
                 output = run_chunk(shm, params, jobs)
                 snapshot = registry.snapshot()
                 delta = obs_metrics.diff_snapshots(snapshot, last_snapshot)
+                # Gauges travel as changes, like counters: the parent adds
+                # them, so a gauge there gains exactly this worker's level,
+                # and one the worker never set keeps the parent's own value.
+                delta["gauges"] = {
+                    name: value - last_snapshot["gauges"].get(name, 0)
+                    for name, value in snapshot["gauges"].items()
+                    if value != last_snapshot["gauges"].get(name, 0)
+                }
                 last_snapshot = snapshot
-                result_queue.put((batch_id, chunk_id, slot, None, output, delta))
+                result_queue.put((batch_id, chunk_id, None, output, delta))
             except Exception:
                 last_snapshot = registry.snapshot()
-                result_queue.put(
-                    (batch_id, chunk_id, slot, traceback.format_exc(), None, None)
-                )
+                result_queue.put((batch_id, chunk_id, traceback.format_exc(), None, None))
     except (KeyboardInterrupt, EOFError, OSError):
         pass  # parent is gone or tearing down; exit quietly
     finally:
@@ -431,8 +437,9 @@ class _PoolState:
         #: BLAS threads each worker slot reported after pinning; -1 until
         #: the slot's current worker has booted.
         self.blas_threads = ctx.RawArray("i", [-1] * n_workers)
-        #: Last gauge values each live worker slot reported.
-        self.worker_gauges: dict[int, dict] = {}
+        #: Sum of the gauge changes the live fleet has reported, by name:
+        #: the share of each parent gauge that dies with the workers.
+        self.worker_gauges: dict[str, float] = {}
 
     # -- workers ----------------------------------------------------------
 
@@ -498,7 +505,9 @@ class _PoolState:
         self._discard_queues()
         # The dead workers' levels (cached table bytes, ...) died with them.
         gauges, self.worker_gauges = self.worker_gauges, {}
-        self._publish_gauges({name for levels in gauges.values() for name in levels})
+        obs_metrics.get_registry().merge(
+            {"gauges": {name: -level for name, level in gauges.items()}}
+        )
         self.stats.fleet_restarts += 1
 
     def _discard_queues(self) -> None:
@@ -515,28 +524,16 @@ class _PoolState:
 
     # -- telemetry --------------------------------------------------------
 
-    def fold_delta(self, slot: int, delta: dict) -> None:
+    def fold_delta(self, delta: dict) -> None:
         """Fold one chunk's worker registry delta into the parent registry.
 
-        Counters and histograms add, so fleet totals equal in-process
-        totals.  Gauges are levels, not totals: each worker's delta carries
-        its current values, so the pool keeps the last value per worker and
-        publishes the sum over live workers (adding every chunk's level
-        would grow a gauge without bound).
+        Everything adds: counters and histograms so fleet totals equal
+        in-process totals, gauges because workers ship their changes, so
+        each parent gauge reads its own level plus the live workers'.
         """
-        registry = obs_metrics.get_registry()
-        registry.merge({**delta, "gauges": {}})
-        gauges = delta.get("gauges", {})
-        if gauges:
-            self.worker_gauges[slot] = gauges
-            self._publish_gauges(gauges)
-
-    def _publish_gauges(self, names) -> None:
-        registry = obs_metrics.get_registry()
-        for name in names:
-            registry.gauge(name).set(
-                sum(levels.get(name, 0) for levels in self.worker_gauges.values())
-            )
+        obs_metrics.get_registry().merge(delta)
+        for name, change in delta.get("gauges", {}).items():
+            self.worker_gauges[name] = self.worker_gauges.get(name, 0) + change
 
     # -- batches ----------------------------------------------------------
 
@@ -562,7 +559,7 @@ class _PoolState:
         last_progress = time.monotonic()
         while pending and not failed:
             try:
-                done_batch, done_chunk, slot, error, output, delta = self.results.get(
+                done_batch, done_chunk, error, output, delta = self.results.get(
                     timeout=_POLL_SECONDS
                 )
             except Empty:
@@ -586,7 +583,7 @@ class _PoolState:
             pending.discard(done_chunk)
             last_progress = time.monotonic()
             if delta:
-                self.fold_delta(slot, delta)
+                self.fold_delta(delta)
         return outputs, pending, failed
 
     # -- slabs ------------------------------------------------------------

@@ -116,7 +116,6 @@ class DataLoader:
             worker.start()
 
         tracer = get_tracer()
-        clock = self.stalls.clock
         batches_total = get_registry().counter("loader.batches_total")
         try:
             finished_workers = 0
@@ -125,9 +124,9 @@ class DataLoader:
                 # One wait interval feeds the stall tracker *and* the trace
                 # from the same measurement, so the exported "loader.wait"
                 # spans reproduce the stall timeline exactly.
-                wait_start = clock()
+                wait_start = time.perf_counter()
                 item = output_queue.get()
-                waited = clock() - wait_start
+                waited = time.perf_counter() - wait_start
                 self.stalls.record_wait(waited)
                 tracer.add_event("loader.wait", wait_start, waited)
                 if item is _END_OF_EPOCH:
@@ -149,9 +148,9 @@ class DataLoader:
                     # is the consumer's compute time — the other half of the
                     # stall fraction — recorded automatically instead of
                     # asking the training loop to time itself.
-                    yielded_at = clock()
+                    yielded_at = time.perf_counter()
                     yield batch
-                    self.stalls.record_compute(clock() - yielded_at)
+                    self.stalls.record_compute(time.perf_counter() - yielded_at)
             if leftovers and not self.config.drop_last:
                 with tracer.span("loader.collate"):
                     batch = collate(

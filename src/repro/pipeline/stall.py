@@ -38,12 +38,7 @@ class StallTracker:
         wait_seconds: list[float] | None = None,
         compute_seconds: list[float] | None = None,
         registry: MetricsRegistry | None = None,
-        clock=time.perf_counter,
     ) -> None:
-        #: The time base the recorded intervals are measured on:
-        #: ``DataLoader`` times its waits and compute gaps with it, so a
-        #: virtual clock puts the whole stall split on virtual time.
-        self.clock = clock
         self.wait_seconds: list[float] = list(wait_seconds or [])
         self.compute_seconds: list[float] = list(compute_seconds or [])
         registry = registry if registry is not None else get_registry()

@@ -27,7 +27,7 @@ from repro.control import (
     TelemetryStore,
 )
 from repro.obs import MetricsRegistry, get_registry
-from repro.pipeline import BandwidthThrottle
+from repro.pipeline import BandwidthThrottle, DataLoader, LoaderConfig
 from repro.pipeline.stall import StallTracker
 from repro.serving.client import PCRClient
 from repro.serving.cluster.client import ClusterClient
@@ -614,6 +614,29 @@ class TestAdaptiveSource:
                 assert source.scan_group == 5  # applied through set_scan_group
                 assert source.hints_applied == 1
 
+    def test_loader_epoch_reports_its_own_stall_split(self, pcr_dataset):
+        """``DataLoader.epoch()`` binds its tracker into the source, so the
+        reported window carries the waits and compute gaps the loader timed."""
+        with PCRRecordServer(pcr_dataset.reader.directory, port=0) as server:
+            with AdaptiveScanGroupSource(
+                RemoteRecordSource(port=server.port),
+                client_id="trainer",
+                report_interval=3600.0,  # one explicit report below
+            ) as source:
+                loader = DataLoader(
+                    source, LoaderConfig(batch_size=8, n_workers=1, shuffle=False)
+                )
+                for _ in loader.epoch():
+                    time.sleep(0.01)
+                assert source.stalls is loader.stalls
+                source.report_now()
+                report = server.telemetry.latest()["trainer"]
+                assert report.wait_seconds == pytest.approx(loader.stalls.total_wait)
+                assert report.compute_seconds == pytest.approx(loader.stalls.total_compute)
+                assert report.wait_seconds > 0
+                assert report.compute_seconds >= 0.01
+                assert report.records_read == len(source.record_names)
+
     def test_auto_apply_off_surfaces_but_does_not_apply(self, pcr_dataset):
         with PCRRecordServer(pcr_dataset.reader.directory, port=0) as server:
             server.telemetry.set_hint("c0", ScanGroupHint(scan_group=2))
@@ -661,11 +684,11 @@ class TestClosedLoopEndToEnd:
     """
 
     def _run_interval(self, source, clock, controller, compute_seconds=0.05):
-        stalls = source.stalls  # timed on its clock, as DataLoader does
+        stalls = source.stalls
         for record_name in source.record_names:  # one 8-sample batch per record
-            fetch_started = stalls.clock()
+            fetch_started = clock()
             source.read_record(record_name)
-            stalls.record_wait(stalls.clock() - fetch_started)
+            stalls.record_wait(clock() - fetch_started)
             clock.sleep(compute_seconds)
             stalls.record_compute(compute_seconds)
         source.report_now()
@@ -691,9 +714,7 @@ class TestClosedLoopEndToEnd:
                 throttle=throttle,
                 clock=clock,
             ) as source:
-                source.bind_stall_tracker(
-                    StallTracker(registry=MetricsRegistry(), clock=clock)
-                )
+                source.bind_stall_tracker(StallTracker(registry=MetricsRegistry()))
                 n_groups = source.n_groups
                 assert source.scan_group == n_groups
                 trajectory = [source.scan_group]

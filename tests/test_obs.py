@@ -361,10 +361,10 @@ class TestPoolGauges:
         """A worker's gauges are levels: the parent shows their sum over live
         workers, however many chunks each worker has reported.
 
-        Every chunk delta carries the worker's current table-cache bytes;
-        adding each one would grow the parent's gauge by a cache's worth
-        per chunk.  The budget is shrunk (forked workers inherit it) so the
-        caches fill and hover at it.
+        Adding each chunk's table-cache *level* would grow the parent's
+        gauge by a cache's worth per chunk; workers ship changes instead.
+        The budget is shrunk (forked workers inherit it) so the caches fill
+        and hover at it.
         """
         from repro.codecs import huffman
         from repro.codecs.parallel import DecodePool
@@ -373,6 +373,7 @@ class TestPoolGauges:
 
         budget = 1 << 20
         monkeypatch.setattr(huffman._TABLE_CACHE, "max_bytes", budget)
+        huffman._TABLE_CACHE.clear()  # the parent's own level adds in; zero it
         codec = ProgressiveCodec(quality=90)
         streams = [
             codec.encode(make_structured_image(48, seed=seed, color=True))
@@ -385,6 +386,36 @@ class TestPoolGauges:
             assert pool.stats.parallel_batches == 20
             assert pool.stats.fallback_batches == 0
             assert 0 < gauge.value <= pool.n_workers * budget
+
+    def test_parent_gauges_survive_pooled_batches_and_restarts(self):
+        """Workers inherit the parent's gauges (reset to 0 at fork) but
+        never report one they did not set, so the parent's own levels
+        stand; a fleet restart takes back exactly the workers' share."""
+        from repro.codecs import huffman
+        from repro.codecs.parallel import DecodePool
+        from repro.codecs.progressive import ProgressiveCodec
+        from tests.conftest import make_structured_image
+
+        huffman._TABLE_CACHE.clear()  # forked workers must build their tables
+        registry = get_registry()
+        parent_gauge = registry.gauge("test.parent_level")
+        parent_gauge.set(7)
+        luts = registry.gauge("codec.table_cache.luts.bytes")
+        luts_before = luts.value
+        codec = ProgressiveCodec(quality=90)
+        streams = [
+            codec.encode(make_structured_image(32, seed=seed, color=True))
+            for seed in range(6)
+        ]
+        with DecodePool(2, start_method="fork") as pool:
+            for _ in range(3):
+                pool.decode_batch(streams)
+            assert pool.stats.parallel_batches == 3
+            assert parent_gauge.value == 7
+            assert luts.value > luts_before
+            pool._state.restart_fleet()
+            assert luts.value == luts_before
+            assert parent_gauge.value == 7
 
 
 @pytest.fixture()
